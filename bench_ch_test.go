@@ -186,7 +186,7 @@ func BenchmarkCHCustomize(b *testing.B) {
 }
 
 // BenchmarkCHTrafficStream measures the sustained-update cycle end to end
-// at the service layer: one ApplyTrafficBatch (16 edges — cost-version
+// at the service layer: one ApplyTrafficBatch (16 edges — cost-generation
 // bump, cache invalidation, synchronous metric customization) plus one
 // cache-bypassing CH route per iteration, the shape of a live feed with
 // interleaved queries. The benchmark fails if any query fell back to

@@ -217,7 +217,7 @@ func main() {
 // each setting size random edges to an absolute cost drawn around the
 // free-flow baseline (0.5×–3.5× base, so costs never drift or collapse to
 // zero over a long run). Every batch is one Mutator.ApplyTrafficBatch —
-// one snapshot publication: cost-version bump, route-cache invalidation,
+// one snapshot publication: cost-generation bump, route-cache invalidation,
 // and a synchronous CH metric customization — which is exactly the load
 // the customization path is built for; watch atis_ch_customize_seconds
 // and atis_snapshot_generation under it.

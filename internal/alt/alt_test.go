@@ -87,10 +87,12 @@ func TestALTBeatsGeometryOnNonGeometricCosts(t *testing.T) {
 	// Grid whose costs are all 10× distance except a fast corridor: scale
 	// every edge ×10, then make the bottom row and right column fast.
 	g := gridgen.MustGenerate(gridgen.Config{K: 12, Model: gridgen.Skewed, SkewCost: 0.5})
+	var changes []graph.EdgeCostChange
 	for _, e := range g.Edges() {
-		if _, err := g.SetArcCost(e.Tail, e.Head, e.Cost*10); err != nil {
-			t.Fatal(err)
-		}
+		changes = append(changes, graph.EdgeCostChange{Tail: e.Tail, Head: e.Head, Cost: e.Cost * 10})
+	}
+	if _, err := g.ApplyBatch(changes); err != nil {
+		t.Fatal(err)
 	}
 	s, d := gridgen.Pair(12, gridgen.Diagonal, 0)
 	lm, err := SelectLandmarks(g, 4, 3)

@@ -35,9 +35,8 @@
 // validates edge-by-edge against the original graph.
 //
 // An Index pairs one Topology with one Metric. It is immutable, safe for
-// concurrent queries, and stamped with the graph's CostVersion at
-// customization time; see (*Index).CostVersion for the staleness contract
-// the route service's version gate relies on.
+// concurrent queries, and answers for the costs of the graph it was
+// customized from; new costs mean a new graph and a new Index.
 package ch
 
 import (
@@ -67,13 +66,6 @@ func arcKey(u, w graph.NodeID) uint64 {
 	return uint64(uint32(u))<<32 | uint64(uint32(w))
 }
 
-// CostVersion returns the graph.CostVersion() the index's metric was
-// customized under. An index answers for exactly that version: callers
-// owning a mutable graph must compare against the live CostVersion() and
-// re-customize (or fall back to a direct search) on mismatch — the same
-// staleness contract as graph.ReverseView.
-func (ix *Index) CostVersion() uint64 { return ix.metric.costVersion }
-
 // NumNodes returns the number of nodes the index covers.
 func (ix *Index) NumNodes() int { return ix.topo.n }
 
@@ -91,10 +83,10 @@ func (ix *Index) Topology() *Topology { return ix.topo }
 
 // Build preprocesses g into a queryable hierarchy: structural contraction
 // (BuildTopology) followed by one customization pass for g's current
-// costs. The graph is only read. Callers that keep the graph's structure
-// and mutate only costs should retain ix.Topology() and re-customize with
-// Topology.NewIndex instead of calling Build again — same result, a
-// thousandth of the work.
+// costs. The graph is only read. Callers whose new graphs differ only in
+// costs (a Clone plus ApplyBatch) should retain ix.Topology() and
+// re-customize with Topology.NewIndex instead of calling Build again —
+// same result, a thousandth of the work.
 func Build(g *graph.Graph, opts Options) (*Index, error) {
 	topo, err := BuildTopology(g, opts)
 	if err != nil {

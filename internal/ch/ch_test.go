@@ -168,9 +168,6 @@ func TestAgreesWithDijkstraOnRandomGrids(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ix.CostVersion() != g.CostVersion() {
-			t.Fatalf("fresh index version %d != graph version %d", ix.CostVersion(), g.CostVersion())
-		}
 		rng := rand.New(rand.NewSource(tc.seed))
 		n := g.NumNodes()
 		for i := 0; i < pairs; i++ {
@@ -241,7 +238,11 @@ func TestUnreachableAndOutOfRange(t *testing.T) {
 	}
 }
 
-func TestCostVersionStampDetectsMutation(t *testing.T) {
+// TestRepricedCloneMatchesFreshBuild: new costs arrive as a re-priced
+// clone. An index re-customized from the old topology for the clone must
+// answer exactly as one built from scratch for it, while the old index
+// keeps answering for the original graph.
+func TestRepricedCloneMatchesFreshBuild(t *testing.T) {
 	g, err := gridgen.Generate(gridgen.Config{K: 5, Model: gridgen.Variance, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -250,28 +251,47 @@ func TestCostVersionStampDetectsMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := g.Edges()[0]
-	if _, err := g.SetArcCost(e.Tail, e.Head, e.Cost*2); err != nil {
+	next := g.Clone()
+	var changes []graph.EdgeCostChange
+	for _, e := range g.Edges()[:8] {
+		changes = append(changes, graph.EdgeCostChange{Tail: e.Tail, Head: e.Head, Cost: 4, Scale: true})
+	}
+	if _, err := next.ApplyBatch(changes); err != nil {
 		t.Fatal(err)
 	}
-	if ix.CostVersion() == g.CostVersion() {
-		t.Fatal("SetArcCost did not change the version the index is stamped with")
-	}
-	// A rebuild restores agreement at the new version.
-	ix2, err := Build(g, Options{})
+	customized, err := ix.Topology().NewIndex(next)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix2.CostVersion() != g.CostVersion() {
-		t.Fatalf("rebuilt index version %d != graph version %d", ix2.CostVersion(), g.CostVersion())
-	}
-	res, err := ix2.Query(0, graph.NodeID(g.NumNodes()-1))
+	fresh, err := Build(next, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := oracleDijkstra(g, 0, graph.NodeID(g.NumNodes()-1))
-	if math.Abs(res.Cost-want) > tol*(1+math.Abs(want)) {
-		t.Fatalf("rebuilt ch cost %v, dijkstra %v", res.Cost, want)
+	n := graph.NodeID(g.NumNodes())
+	for s := graph.NodeID(0); s < n; s++ {
+		for d := graph.NodeID(0); d < n; d += 3 {
+			cres, err := customized.Query(s, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fres, err := fresh.Query(s, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cres.Found != fres.Found || math.Abs(cres.Cost-fres.Cost) > tol*(1+math.Abs(fres.Cost)) {
+				t.Fatalf("%d→%d: customized (%v, %v), fresh build (%v, %v)", s, d, cres.Found, cres.Cost, fres.Found, fres.Cost)
+			}
+			if want, _ := oracleDijkstra(next, s, d); math.Abs(cres.Cost-want) > tol*(1+math.Abs(want)) {
+				t.Fatalf("%d→%d: customized %v, dijkstra on the clone %v", s, d, cres.Cost, want)
+			}
+			old, err := ix.Query(s, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _ := oracleDijkstra(g, s, d); math.Abs(old.Cost-want) > tol*(1+math.Abs(want)) {
+				t.Fatalf("%d→%d: old index %v, dijkstra on the original %v", s, d, old.Cost, want)
+			}
+		}
 	}
 }
 

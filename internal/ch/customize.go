@@ -22,17 +22,15 @@ type metricHalf struct {
 }
 
 // Metric is the metric-dependent layer of a hierarchy: one customized
-// weight and middle node per skeleton arc, stamped with the
-// graph.CostVersion the weights were derived from. A Metric is immutable
-// after Customize and safe for concurrent queries; a cost mutation is
-// served by customizing a fresh Metric, never by editing one in place —
-// the same frozen-slice discipline the costversion analyzer enforces
-// (and atislint's immutsnapshot analyzer checks mechanically).
+// weight and middle node per skeleton arc, derived from one graph's
+// frozen costs. A Metric is immutable after Customize and safe for
+// concurrent queries; new costs arrive as a new graph and are served by
+// customizing a fresh Metric, never by editing one in place (atislint's
+// immutsnapshot analyzer checks this mechanically).
 //
 //atis:immutable
 type Metric struct {
-	fwd, bwd    metricHalf
-	costVersion uint64
+	fwd, bwd metricHalf
 }
 
 // Customize derives a fresh Metric for g's current costs in one bottom-up
@@ -47,16 +45,11 @@ type Metric struct {
 // endpoint, every triangle constituent is already final, and one pass
 // suffices. This is the whole trick: O(triangles) arithmetic instead of
 // re-running ordering, witness searches and contraction.
-//
-// The Metric is stamped with g.CostVersion() as read when Customize
-// starts; the same concurrent-mutation contract as Build applies (the
-// route service serialises mutations behind its write lock).
 func (t *Topology) Customize(g *graph.Graph) (*Metric, error) {
 	if !t.Matches(g) {
 		return nil, fmt.Errorf("ch: graph (%d nodes, %d edges) does not match topology (%d nodes, %d edges); structural rebuild required",
 			g.NumNodes(), g.NumEdges(), t.n, t.m)
 	}
-	version := g.CostVersion()
 	F := len(t.fwd.heads)
 	B := len(t.bwd.heads)
 	m := &Metric{
@@ -119,7 +112,6 @@ func (t *Topology) Customize(g *graph.Graph) (*Metric, error) {
 		}
 	}
 
-	m.costVersion = version
 	return m, nil
 }
 

@@ -124,10 +124,9 @@ type Route struct {
 	Trace search.Trace
 }
 
-// Planner computes routes over one graph. It is safe for concurrent use as
-// long as edge costs are not mutated concurrently; the route package's
-// Service adds that synchronisation by binding each Planner to an
-// immutable published snapshot.
+// Planner computes routes over one graph, whose costs never change once
+// shared. It is safe for concurrent use; the route package binds one
+// Planner to each published snapshot.
 type Planner struct {
 	g *graph.Graph
 
@@ -138,8 +137,8 @@ type Planner struct {
 	tracer *tracing.Tracer
 
 	// Contraction-hierarchy state for the CH algorithm: the index is built
-	// lazily on first use and keyed on the graph's CostVersion. chMu
-	// serialises builds so concurrent first queries trigger exactly one.
+	// lazily on first use. chMu serialises builds so concurrent first
+	// queries trigger exactly one.
 	chIdx atomic.Pointer[ch.Index]
 	chMu  sync.Mutex
 }
@@ -169,11 +168,8 @@ func WithTracer(t *tracing.Tracer) PlannerOption {
 	}
 }
 
-// New wraps g, applying options in order. The graph is not copied; the
-// caller promises not to mutate edge costs concurrently with computations
-// (the route package keeps that promise by giving each snapshot its own
-// Planner over a graph that is frozen at publish time). New fails only
-// when a fallible option (WithCH on an empty graph) does.
+// New wraps g, applying options in order. The graph is not copied. New
+// fails only when a fallible option (WithCH on an empty graph) does.
 func New(g *graph.Graph, opts ...PlannerOption) (*Planner, error) {
 	p := &Planner{g: g}
 	for _, o := range opts {
@@ -193,12 +189,6 @@ func MustNew(g *graph.Graph, opts ...PlannerOption) *Planner {
 	}
 	return p
 }
-
-// NewPlanner wraps g.
-//
-// Deprecated: use New, which takes functional options (WithCH,
-// WithTracer) instead of post-construction setters.
-func NewPlanner(g *graph.Graph) *Planner { return &Planner{g: g} }
 
 // Graph returns the planner's graph.
 func (p *Planner) Graph() *graph.Graph { return p.g }
@@ -279,32 +269,19 @@ func (p *Planner) routeDispatch(ctx context.Context, from, to graph.NodeID, opts
 	}, nil
 }
 
-// CHIndex returns the planner's contraction hierarchy for the graph's
-// current cost version, readying it if needed. The first call pays a
-// structural contraction; afterwards the topology is cached and a cost
-// mutation only costs a metric customization, so even the synchronous
-// refresh here is milliseconds. Callers who cannot afford the first
-// build on a query path (the route service) maintain their own index and
-// use the planner only for fallback.
+// CHIndex returns the planner's contraction hierarchy, building it on
+// first use. The build pays a structural contraction, so callers who
+// cannot afford it on a query path (the route service) maintain their own
+// index and use the planner only for fallback.
 func (p *Planner) CHIndex() (*ch.Index, error) {
-	want := p.g.CostVersion()
-	if ix := p.chIdx.Load(); ix != nil && ix.CostVersion() == want {
+	if ix := p.chIdx.Load(); ix != nil {
 		return ix, nil
 	}
 	p.chMu.Lock()
 	defer p.chMu.Unlock()
-	// Re-check under the lock: another goroutine may have readied the
-	// index while we waited, and the version may have moved again.
-	want = p.g.CostVersion()
-	if ix := p.chIdx.Load(); ix != nil && ix.CostVersion() == want {
-		return ix, nil
-	}
-	if old := p.chIdx.Load(); old != nil && old.Topology().Matches(p.g) {
-		ix, err := old.Topology().NewIndex(p.g)
-		if err != nil {
-			return nil, err
-		}
-		p.chIdx.Store(ix)
+	// Re-check under the lock: another goroutine may have built the index
+	// while we waited.
+	if ix := p.chIdx.Load(); ix != nil {
 		return ix, nil
 	}
 	// The structural contraction is the Planner's one self-started heavy

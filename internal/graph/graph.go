@@ -8,9 +8,10 @@
 // because the paper's estimator functions (euclidean and manhattan distance)
 // are defined over node positions.
 //
-// Graphs are built with a Builder and are immutable in structure afterwards;
-// edge costs may be updated in place to model real-time travel-time feeds
-// (the ATIS motivation of the paper's introduction).
+// Graphs are built with a Builder and never change once shared. Real-time
+// travel-time feeds (the ATIS motivation of the paper's introduction) are
+// modelled by cloning a graph, applying a batch of cost changes to the
+// clone with ApplyBatch, and publishing the clone in the original's place.
 package graph
 
 import (
@@ -58,10 +59,9 @@ func (p Point) ManhattanDistance(q Point) float64 {
 	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
 }
 
-// Graph is a directed graph in compressed sparse row (CSR) form. The
-// structure (node and edge sets) is immutable once built; edge costs may be
-// updated through SetArcCost and UpdateEdgeCost to model dynamic travel
-// times.
+// Graph is a directed graph in compressed sparse row (CSR) form. Its
+// structure is immutable once built, and its costs are immutable once the
+// graph is shared: the only cost writer is ApplyBatch on a fresh Clone.
 type Graph struct {
 	// offsets has length NumNodes()+1; the outgoing arcs of node u occupy
 	// heads[offsets[u]:offsets[u+1]] and costs[offsets[u]:offsets[u+1]].
@@ -72,21 +72,7 @@ type Graph struct {
 	names   map[string]NodeID // optional landmark names; may be nil
 	labels  []string          // reverse of names; empty strings where unnamed
 
-	// costVersion counts cost mutations; ReverseView uses it to decide
-	// whether its cached reverse graph still reflects the current costs.
-	costVersion atomic.Uint64
-	rev         atomic.Pointer[reverseSnapshot]
-}
-
-// reverseSnapshot pairs a built reverse graph with the cost version it was
-// built under. Once stored in g.rev it is shared by every concurrent
-// reader, so it is never edited in place — a cost change publishes a whole
-// new snapshot.
-//
-//atis:immutable
-type reverseSnapshot struct {
-	version uint64
-	g       *Graph
+	rev atomic.Pointer[Graph] // ReverseView's lazily built reverse
 }
 
 // NumNodes returns the number of nodes in the graph.
@@ -160,39 +146,10 @@ func (g *Graph) ArcCost(u, v NodeID) (float64, bool) {
 	return best, true
 }
 
-// SetArcCost sets the cost of every parallel directed edge (u, v) to c and
-// reports whether at least one such edge exists. Costs must be non-negative;
-// the search algorithms' optimality lemmas (paper Lemmas 1–3) require it.
-func (g *Graph) SetArcCost(u, v NodeID, c float64) (bool, error) {
-	if c < 0 || math.IsNaN(c) {
-		return false, fmt.Errorf("graph: cost %v for edge (%d,%d) must be non-negative", c, u, v)
-	}
-	if !g.valid(u) || !g.valid(v) {
-		return false, fmt.Errorf("graph: edge (%d,%d) references unknown node", u, v)
-	}
-	found := false
-	lo, hi := g.offsets[u], g.offsets[u+1]
-	for i := lo; i < hi; i++ {
-		if g.heads[i] == v {
-			g.costs[i] = c
-			found = true
-		}
-	}
-	if found {
-		g.costVersion.Add(1)
-	}
-	return found, nil
-}
-
-// CostVersion returns the number of cost mutations applied to the graph
-// since construction. Two reads returning the same version bracket a window
-// in which every edge cost was stable.
-func (g *Graph) CostVersion() uint64 { return g.costVersion.Load() }
-
 // EdgeCostChange is one entry of an ApplyBatch traffic update: the directed
 // edge (Tail, Head) either has its cost set to Cost (Scale false) or
 // multiplied by Cost (Scale true). Either way the change covers every
-// parallel edge of the pair, matching SetArcCost and ScaleArcCost.
+// parallel edge of the pair.
 type EdgeCostChange struct {
 	Tail  NodeID
 	Head  NodeID
@@ -200,17 +157,14 @@ type EdgeCostChange struct {
 	Scale bool
 }
 
-// ApplyBatch applies a burst of edge-cost changes atomically with respect
-// to version accounting: the whole batch is validated up front (no partial
-// application on a bad entry), every change is applied, and costVersion is
-// bumped exactly once if anything changed — so version-keyed consumers
-// (ReverseView, a ch.Metric, the route cache) invalidate once per batch
-// instead of once per edge. It returns the number of changes that matched
-// at least one edge.
+// ApplyBatch applies a burst of edge-cost changes to g. It is meant for a
+// fresh Clone that nothing else holds yet: it takes no lock, and a
+// reverse view already built for g would not see the change. The whole
+// batch is validated up front, so a bad entry leaves g untouched. It
+// returns the number of changes that matched at least one edge.
 //
 // Entries are applied in order; later entries targeting the same pair win
-// (for Scale entries, compound). Like all cost mutators, ApplyBatch must
-// be serialised against readers by the caller.
+// (for Scale entries, compound).
 func (g *Graph) ApplyBatch(changes []EdgeCostChange) (int, error) {
 	for _, ch := range changes {
 		if ch.Cost < 0 || math.IsNaN(ch.Cost) {
@@ -243,34 +197,7 @@ func (g *Graph) ApplyBatch(changes []EdgeCostChange) (int, error) {
 			applied++
 		}
 	}
-	if applied > 0 {
-		g.costVersion.Add(1)
-	}
 	return applied, nil
-}
-
-// ScaleArcCost multiplies the cost of every parallel directed edge (u, v) by
-// factor and reports whether such an edge exists. This is the primitive
-// behind traffic-congestion updates.
-func (g *Graph) ScaleArcCost(u, v NodeID, factor float64) (bool, error) {
-	if factor < 0 || math.IsNaN(factor) {
-		return false, fmt.Errorf("graph: scale factor %v for edge (%d,%d) must be non-negative", factor, u, v)
-	}
-	if !g.valid(u) || !g.valid(v) {
-		return false, fmt.Errorf("graph: edge (%d,%d) references unknown node", u, v)
-	}
-	found := false
-	lo, hi := g.offsets[u], g.offsets[u+1]
-	for i := lo; i < hi; i++ {
-		if g.heads[i] == v {
-			g.costs[i] *= factor
-			found = true
-		}
-	}
-	if found {
-		g.costVersion.Add(1)
-	}
-	return found, nil
 }
 
 // MinArcCost returns the smallest edge cost in the graph, or +Inf for a
@@ -345,29 +272,19 @@ func (g *Graph) Bounds() (min, max Point) {
 	return min, max
 }
 
-// Clone returns a deep copy of the graph. Cost mutations on the copy do not
-// affect the original; the route service uses this to apply traffic updates
-// on a private snapshot.
+// Clone returns a graph whose costs can be changed with ApplyBatch without
+// affecting g. The immutable structure (offsets, heads, points, names and
+// labels) is shared; only the costs are copied. The clone starts without
+// a reverse view of its own.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		offsets: append([]int32(nil), g.offsets...),
-		heads:   append([]NodeID(nil), g.heads...),
+	return &Graph{
+		offsets: g.offsets,
+		heads:   g.heads,
 		costs:   append([]float64(nil), g.costs...),
-		points:  append([]Point(nil), g.points...),
-		labels:  append([]string(nil), g.labels...),
+		points:  g.points,
+		names:   g.names,
+		labels:  g.labels,
 	}
-	if g.names != nil {
-		c.names = make(map[string]NodeID, len(g.names))
-		for k, v := range g.names {
-			c.names[k] = v
-		}
-	}
-	// The clone carries the source's cost version (though not its reverse
-	// cache): version-stamped artifacts such as a ch.Index built from a
-	// clone remain valid for the original at the same version, which is how
-	// the route service rebuilds hierarchies off-lock from a snapshot.
-	c.costVersion.Store(g.costVersion.Load())
-	return c
 }
 
 // Reverse returns a new graph with every edge direction flipped and costs
@@ -394,22 +311,17 @@ func (g *Graph) Reverse() *Graph {
 	return rg
 }
 
-// ReverseView returns the reverse graph, rebuilding it only when edge costs
-// have changed since the last call — the cost-generation-aware cache that
-// closes the last per-query O(m) allocation in bidirectional search.
-//
-// Concurrent readers may race to build the first snapshot after a mutation;
-// both builds are correct and one simply wins the store. Callers must
-// uphold the package-wide contract that costs are not mutated concurrently
-// with reads (the route service serialises mutations behind its write
-// lock), and must treat the returned graph as read-only.
+// ReverseView returns the reverse graph, built on first use and shared by
+// every later call, which closes the last per-query O(m) allocation in
+// bidirectional search. Concurrent first callers may race to build it;
+// both builds are equal and one simply wins the store. Callers must treat
+// the returned graph as read-only.
 func (g *Graph) ReverseView() *Graph {
-	v := g.costVersion.Load()
-	if snap := g.rev.Load(); snap != nil && snap.version == v {
-		return snap.g
+	if rg := g.rev.Load(); rg != nil {
+		return rg
 	}
 	rg := g.Reverse()
-	g.rev.Store(&reverseSnapshot{version: v, g: rg})
+	g.rev.Store(rg)
 	return rg
 }
 

@@ -149,62 +149,25 @@ func TestArcCostParallelEdgesPicksCheapest(t *testing.T) {
 	}
 }
 
-func TestSetArcCost(t *testing.T) {
-	g := line(t, 3)
-	ok, err := g.SetArcCost(0, 1, 7)
-	if err != nil || !ok {
-		t.Fatalf("SetArcCost = %v, %v", ok, err)
-	}
-	if c, _ := g.ArcCost(0, 1); c != 7 {
-		t.Errorf("cost after set = %v, want 7", c)
-	}
-	// The reverse directed edge is independent.
-	if c, _ := g.ArcCost(1, 0); c != 1 {
-		t.Errorf("reverse cost = %v, want 1 (must be untouched)", c)
-	}
-	if ok, err := g.SetArcCost(0, 2, 1); err != nil || ok {
-		t.Errorf("SetArcCost on missing edge = %v, %v; want false, nil", ok, err)
-	}
-	if _, err := g.SetArcCost(0, 1, -3); err == nil {
-		t.Error("SetArcCost accepted negative cost")
-	}
-	if _, err := g.SetArcCost(99, 1, 3); err == nil {
-		t.Error("SetArcCost accepted unknown node")
-	}
-}
-
-func TestScaleArcCost(t *testing.T) {
-	g := line(t, 3)
-	if ok, err := g.ScaleArcCost(1, 2, 2.5); err != nil || !ok {
-		t.Fatalf("ScaleArcCost = %v, %v", ok, err)
-	}
-	if c, _ := g.ArcCost(1, 2); c != 2.5 {
-		t.Errorf("scaled cost = %v, want 2.5", c)
-	}
-	if _, err := g.ScaleArcCost(1, 2, -1); err == nil {
-		t.Error("ScaleArcCost accepted negative factor")
-	}
-}
-
-func TestApplyBatchBumpsVersionOnce(t *testing.T) {
+func TestApplyBatchSetsAndScales(t *testing.T) {
 	g := line(t, 4)
-	v0 := g.CostVersion()
 	n, err := g.ApplyBatch([]EdgeCostChange{
 		{Tail: 0, Head: 1, Cost: 7},
 		{Tail: 1, Head: 2, Cost: 2, Scale: true},
 		{Tail: 2, Head: 3, Cost: 0.5},
+		{Tail: 2, Head: 3, Cost: 3, Scale: true},
 	})
-	if err != nil || n != 3 {
-		t.Fatalf("ApplyBatch = %d, %v; want 3 applied", n, err)
-	}
-	if got := g.CostVersion(); got != v0+1 {
-		t.Errorf("version after 3-edge batch = %d, want %d (one bump per batch)", got, v0+1)
+	if err != nil || n != 4 {
+		t.Fatalf("ApplyBatch = %d, %v; want 4 applied", n, err)
 	}
 	if c, _ := g.ArcCost(0, 1); c != 7 {
 		t.Errorf("set cost = %v, want 7", c)
 	}
 	if c, _ := g.ArcCost(1, 2); c != 2 {
 		t.Errorf("scaled cost = %v, want 2", c)
+	}
+	if c, _ := g.ArcCost(2, 3); c != 1.5 {
+		t.Errorf("set-then-scaled cost = %v, want 1.5 (entries apply in order)", c)
 	}
 	if c, _ := g.ArcCost(1, 0); c != 1 {
 		t.Errorf("untargeted reverse edge = %v, want 1", c)
@@ -213,7 +176,6 @@ func TestApplyBatchBumpsVersionOnce(t *testing.T) {
 
 func TestApplyBatchValidatesBeforeApplying(t *testing.T) {
 	g := line(t, 3)
-	v0 := g.CostVersion()
 	// The second entry is invalid: nothing from the batch may land.
 	if _, err := g.ApplyBatch([]EdgeCostChange{
 		{Tail: 0, Head: 1, Cost: 9},
@@ -224,41 +186,43 @@ func TestApplyBatchValidatesBeforeApplying(t *testing.T) {
 	if c, _ := g.ArcCost(0, 1); c != 1 {
 		t.Errorf("cost after rejected batch = %v, want untouched 1", c)
 	}
-	if g.CostVersion() != v0 {
-		t.Errorf("version bumped by a rejected batch")
+	for _, f := range []float64{-1, math.NaN()} {
+		if _, err := g.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 1, Cost: f, Scale: true}}); err == nil {
+			t.Fatalf("ApplyBatch accepted scale factor %v", f)
+		}
 	}
 	if _, err := g.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 99, Cost: 1}}); err == nil {
 		t.Fatal("ApplyBatch accepted an unknown node")
 	}
-	// Entries that match no edge are not an error, just not counted; a
-	// batch applying nothing leaves the version alone.
+	// Entries that match no edge are not an error, just not counted.
 	n, err := g.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 2, Cost: 1}})
 	if err != nil || n != 0 {
 		t.Fatalf("no-match batch = %d, %v; want 0, nil", n, err)
 	}
-	if g.CostVersion() != v0 {
-		t.Errorf("no-op batch bumped the version")
+	if c, _ := g.ArcCost(0, 1); c != 1 {
+		t.Errorf("cost after rejected batches = %v, want untouched 1", c)
 	}
 }
 
 func TestApplyBatchInvalidatesReverseViewOnce(t *testing.T) {
 	g := line(t, 4)
 	r0 := g.ReverseView()
-	if _, err := g.ApplyBatch([]EdgeCostChange{
+	c := g.Clone()
+	if _, err := c.ApplyBatch([]EdgeCostChange{
 		{Tail: 0, Head: 1, Cost: 4},
 		{Tail: 1, Head: 2, Cost: 5},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	r1 := g.ReverseView()
+	r1 := c.ReverseView()
 	if r1 == r0 {
-		t.Fatal("ReverseView not invalidated by ApplyBatch")
+		t.Fatal("re-priced clone served the original's reverse")
 	}
-	if c, _ := r1.ArcCost(1, 0); c != 4 {
-		t.Errorf("reverse view cost = %v, want 4", c)
+	if cost, _ := r1.ArcCost(1, 0); cost != 4 {
+		t.Errorf("re-priced reverse cost = %v, want 4", cost)
 	}
-	if g.ReverseView() != r1 {
-		t.Error("ReverseView rebuilt again without an intervening mutation")
+	if c.ReverseView() != r1 {
+		t.Error("ReverseView rebuilt again for the same clone")
 	}
 }
 
@@ -321,17 +285,77 @@ func TestBounds(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	g := line(t, 4)
+// grid builds a k×k grid with unit edges both ways between neighbours
+// and two named corners.
+func grid(t *testing.T, k int) *Graph {
+	t.Helper()
+	b := NewBuilder(k*k, 4*k*(k-1))
+	for y := 0; y < k; y++ {
+		for x := 0; x < k; x++ {
+			b.AddNode(float64(x), float64(y))
+		}
+	}
+	id := func(x, y int) NodeID { return NodeID(y*k + x) }
+	for y := 0; y < k; y++ {
+		for x := 0; x < k; x++ {
+			if x+1 < k {
+				b.AddUndirectedEdge(id(x, y), id(x+1, y), 1)
+			}
+			if y+1 < k {
+				b.AddUndirectedEdge(id(x, y), id(x, y+1), 1)
+			}
+		}
+	}
+	b.Name(id(0, 0), "SW")
+	b.Name(id(k-1, k-1), "NE")
+	g, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	return g
+}
+
+// TestCloneSharesStructureCopiesCosts pins Clone's contract: the clone
+// shares every immutable slice and map with its source, so it costs the
+// struct plus one cost copy, and re-pricing it leaves the source's
+// answers — direct and reverse — exactly as they were.
+func TestCloneSharesStructureCopiesCosts(t *testing.T) {
+	g := grid(t, 64)
+	if allocs := testing.AllocsPerRun(20, func() { _ = g.Clone() }); allocs > 2 {
+		t.Errorf("Clone allocated %.0f times, want <= 2 (struct + costs)", allocs)
+	}
+
+	r := g.ReverseView()
 	c := g.Clone()
-	if _, err := c.SetArcCost(0, 1, 42); err != nil {
+	if _, err := c.ApplyBatch([]EdgeCostChange{
+		{Tail: 0, Head: 1, Cost: 42},
+		{Tail: 1, Head: 0, Cost: 3, Scale: true},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if cost, _ := g.ArcCost(0, 1); cost != 1 {
-		t.Errorf("original cost changed to %v after mutating clone", cost)
+		t.Errorf("original cost (0,1) = %v after re-pricing the clone, want 1", cost)
+	}
+	if cost, _ := g.ArcCost(1, 0); cost != 1 {
+		t.Errorf("original cost (1,0) = %v after re-pricing the clone, want 1", cost)
 	}
 	if cost, _ := c.ArcCost(0, 1); cost != 42 {
-		t.Errorf("clone cost = %v, want 42", cost)
+		t.Errorf("clone cost (0,1) = %v, want 42", cost)
+	}
+	if cost, _ := c.ArcCost(1, 0); cost != 3 {
+		t.Errorf("clone cost (1,0) = %v, want 3", cost)
+	}
+	if g.ReverseView() != r {
+		t.Fatal("re-pricing the clone replaced the original's reverse")
+	}
+	if cost, _ := r.ArcCost(1, 0); cost != 1 {
+		t.Errorf("original reverse cost (1,0) = %v, want 1", cost)
+	}
+	if cost, _ := c.ReverseView().ArcCost(1, 0); cost != 42 {
+		t.Errorf("clone reverse cost (1,0) = %v, want 42", cost)
+	}
+	if id, ok := c.Lookup("NE"); !ok || id != NodeID(64*64-1) || c.Name(id) != "NE" {
+		t.Errorf("clone lost the landmark names: Lookup(NE) = %v, %v", id, ok)
 	}
 }
 

@@ -491,7 +491,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // way.
 func snapshotBody(sn *route.Snapshot) map[string]any {
 	return map[string]any{
-		"version":     sn.CostVersion(),
+		"version":     sn.CostGeneration(),
 		"generation":  sn.Generation(),
 		"publishedAt": sn.PublishedAt().UTC().Format(time.RFC3339Nano),
 	}
@@ -562,8 +562,8 @@ func (s *Server) handleTraffic(w http.ResponseWriter, r *http.Request) {
 }
 
 // maxTrafficChanges bounds one /traffic/batch request; a feed pushing more
-// per tick should split it — each request is one CostVersion bump and one
-// customization pass either way.
+// per tick should split it — each request is one cost-generation bump and
+// one customization pass either way.
 const maxTrafficChanges = 4096
 
 // handleTrafficBatch applies a traffic feed's edge updates as one batch:
@@ -571,9 +571,9 @@ const maxTrafficChanges = 4096
 // {"changes":[{"from":"A","to":"B","cost":3.5},{"from":"7","to":"8","factor":2}]}.
 // Each change names a directed edge by landmark name or node id and sets
 // either an absolute cost or a multiplicative factor (exactly one). The
-// whole batch is validated first and applied atomically — one cost-version
-// bump, one route-cache invalidation, one CH metric customization — so a
-// half-applied feed tick is never observable.
+// whole batch is validated first and applied atomically — one
+// cost-generation bump, one route-cache invalidation, one CH metric
+// customization — so a half-applied feed tick is never observable.
 func (s *Server) handleTrafficBatch(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Changes []struct {

@@ -79,6 +79,45 @@ func TestSnapshotEndpoint(t *testing.T) {
 		t.Errorf("stats snapshot block incomplete: %+v", stats.Snapshot)
 	}
 
+	// "version" reports the cost generation, in both places, through a
+	// traffic batch and a reset.
+	checkVersion := func(stage string, wantGen uint64) {
+		t.Helper()
+		var snap struct {
+			Version        uint64 `json:"version"`
+			CostGeneration uint64 `json:"costGeneration"`
+		}
+		getJSON(t, ts.URL+"/v1/snapshot", &snap)
+		var st struct {
+			CostGeneration uint64 `json:"costGeneration"`
+			Snapshot       struct {
+				Version uint64 `json:"version"`
+			} `json:"snapshot"`
+		}
+		getJSON(t, ts.URL+"/v1/stats", &st)
+		if snap.CostGeneration != wantGen || st.CostGeneration != wantGen {
+			t.Errorf("%s: costGeneration snapshot=%d stats=%d, want %d", stage, snap.CostGeneration, st.CostGeneration, wantGen)
+		}
+		if snap.Version != snap.CostGeneration || st.Snapshot.Version != st.CostGeneration {
+			t.Errorf("%s: version snapshot=%d stats=%d, want costGeneration %d", stage, snap.Version, st.Snapshot.Version, wantGen)
+		}
+	}
+	checkVersion("fresh", 0)
+	var rt RouteResponse
+	getJSON(t, ts.URL+"/v1/route?from=0&to=5&algo=dijkstra", &rt)
+	if len(rt.Nodes) < 2 {
+		t.Fatalf("route 0→5 has no edge to re-price: %v", rt.Nodes)
+	}
+	batch := `{"changes":[{"from":"` + strconv.Itoa(int(rt.Nodes[0])) + `","to":"` + strconv.Itoa(int(rt.Nodes[1])) + `","factor":2}]}`
+	if resp := postJSON(t, ts.URL+"/v1/traffic/batch", batch, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("traffic batch: %d", resp.StatusCode)
+	}
+	checkVersion("after batch", 1)
+	if resp := postJSON(t, ts.URL+"/v1/traffic/reset", "", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("traffic reset: %d", resp.StatusCode)
+	}
+	checkVersion("after reset", 2)
+
 	// /v1/snapshot is new with /v1 — no unversioned alias exists.
 	if resp := getJSON(t, ts.URL+"/snapshot", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("GET /snapshot (no legacy alias expected): %d", resp.StatusCode)

@@ -43,7 +43,6 @@ var hotpathGates = map[string]struct {
 	"route.Snapshot.CH":              {"../route", "TestSnapshotReadPathZeroAlloc"},
 	"route.Snapshot.CostGeneration":  {"../route", "TestSnapshotReadPathZeroAlloc"},
 	"route.Snapshot.Generation":      {"../route", "TestSnapshotReadPathZeroAlloc"},
-	"route.Snapshot.CostVersion":     {"../route", "TestSnapshotReadPathZeroAlloc"},
 }
 
 // TestHotpathGateRegistry walks the module's //atis:hotpath annotations

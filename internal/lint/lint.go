@@ -1,8 +1,8 @@
 // Package lint is the project-specific static-analysis framework behind
 // cmd/atislint. It exists because the engine's correctness rests on a small
-// set of concurrency and hot-path invariants — lock scope, cost-version
-// bumps, pool Get/Put pairing, the telemetry fast-path guard — that code
-// review keeps almost catching (the PR 2 Prometheus exporter iterated
+// set of concurrency and hot-path invariants — lock scope, frozen
+// snapshots, pool Get/Put pairing, the telemetry fast-path guard — that
+// code review keeps almost catching (the PR 2 Prometheus exporter iterated
 // mutex-guarded maps after dropping the lock, a fatal race only visible
 // under concurrent scrapes). Invariants of that kind must be enforced by
 // tooling, not vigilance.
@@ -92,7 +92,6 @@ type ProgramAnalyzer interface {
 func Analyzers() []Analyzer {
 	return []Analyzer{
 		NewLockScope(),
-		NewCostVersion(),
 		NewPoolPair(),
 		NewRecorderGuard(),
 		NewCtxCheck(),

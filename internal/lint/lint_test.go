@@ -84,7 +84,7 @@ func TestAnalyzersFire(t *testing.T) {
 }
 
 // TestRepoClean runs the full suite over this repository: the tree must
-// stay lint-clean (the same gate as `make lint`). Each of the eight
+// stay lint-clean (the same gate as `make lint`). Each of the seven
 // analyzers runs as its own subtest so a regression names the invariant
 // it broke, not just "lint failed". Skipped with -short — type-checking
 // the module plus its stdlib imports takes a few seconds.
@@ -104,8 +104,8 @@ func TestRepoClean(t *testing.T) {
 		t.Fatalf("loaded only %d packages; the loader is missing most of the module", len(units))
 	}
 	analyzers := Analyzers()
-	if len(analyzers) != 8 {
-		t.Fatalf("Analyzers() returned %d analyzers, want 8; update this test with the new invariant", len(analyzers))
+	if len(analyzers) != 7 {
+		t.Fatalf("Analyzers() returned %d analyzers, want 7; update this test with the new invariant", len(analyzers))
 	}
 	for _, a := range analyzers {
 		a := a
@@ -260,7 +260,7 @@ func (x *s) bad() int {
 	}
 }
 
-// BenchmarkLintModule times the full eight-analyzer run over the loaded
+// BenchmarkLintModule times the full seven-analyzer run over the loaded
 // module (type-checking excluded), the `make bench-lint` figure that keeps
 // the interprocedural pass honest as the call graph grows.
 func BenchmarkLintModule(b *testing.B) {

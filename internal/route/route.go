@@ -114,17 +114,19 @@ type Service struct {
 	tracer atomic.Pointer[tracing.Tracer]
 }
 
-// NewService snapshots g (deep copies) so traffic updates never touch the
-// caller's graph. The service records its metrics into a private registry;
-// use NewServiceWithRegistry to share one.
+// NewService clones g once so traffic updates never touch the caller's
+// graph; the clone is both the pristine base and the first snapshot. The
+// service records its metrics into a private registry; use
+// NewServiceWithRegistry to share one.
 func NewService(g *graph.Graph) *Service {
 	return NewServiceWithRegistry(g, telemetry.NewRegistry())
 }
 
 // NewServiceWithRegistry is NewService recording into reg.
 func NewServiceWithRegistry(g *graph.Graph, reg *telemetry.Registry) *Service {
+	base := g.Clone()
 	s := &Service{
-		base:  g.Clone(),
+		base:  base,
 		cache: newRouteCache(defaultCacheCapacity),
 
 		reg: reg,
@@ -162,7 +164,7 @@ func NewServiceWithRegistry(g *graph.Graph, reg *telemetry.Registry) *Service {
 	// The first snapshot is published before the service escapes the
 	// constructor, so Snapshot() never returns nil and the gauges below
 	// can read through it unconditionally.
-	s.snap.Store(newSnapshot(g.Clone(), nil, 0, 1))
+	s.snap.Store(newSnapshot(base, nil, 0, 1))
 	s.cache.evictions = reg.Counter("atis_route_cache_evictions_total",
 		"Routes evicted from the LRU cache.")
 	for _, a := range core.Algorithms() {
@@ -372,25 +374,8 @@ func (s *Service) ComputeDegraded(from, to graph.NodeID, opts core.Options) (cor
 	if ix == nil {
 		return core.Route{}, false
 	}
-	start := time.Now()
-	res, err := ix.Query(from, to)
-	if err != nil {
-		return core.Route{}, false
-	}
-	s.chQuerySeconds.Observe(time.Since(start).Seconds())
-	s.chQueries.Inc()
-	s.chSettled.Add(uint64(res.Settled))
-	return core.Route{
-		Found:     res.Found,
-		Path:      res.Path,
-		Cost:      res.Cost,
-		Algorithm: core.CH,
-		Trace: search.Trace{
-			Iterations:  res.Settled,
-			Expansions:  res.Settled,
-			Relaxations: res.Relaxed,
-		},
-	}, true
+	rt, err := s.chQuery(context.Background(), ix, from, to)
+	return rt, err == nil
 }
 
 // scheduleCHRebuild starts a background hierarchy build unless one is
@@ -915,16 +900,5 @@ func (s *Service) ResetTraffic() {
 func (s *Service) ResetTrafficCtx(ctx context.Context) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	cur := s.snap.Load()
-	next := cur.graph.Clone()
-	edges := s.base.Edges()
-	changes := make([]graph.EdgeCostChange, len(edges))
-	for i, e := range edges {
-		changes[i] = graph.EdgeCostChange{Tail: e.Tail, Head: e.Head, Cost: e.Cost}
-	}
-	// base and the snapshot share structure; the batch cannot fail here.
-	if _, err := next.ApplyBatch(changes); err != nil {
-		panic(fmt.Sprintf("route: snapshot structure diverged: %v", err))
-	}
-	s.publishMutationLocked(ctx, cur, next)
+	s.publishMutationLocked(ctx, s.snap.Load(), s.base.Clone())
 }

@@ -19,11 +19,10 @@ import (
 // Snapshot; they build the next one off to the side and swap the
 // pointer (see Service.installLocked).
 //
-// Invariant: ch, when non-nil, was customized for graph's exact costs —
-// ch.CostVersion() == graph.CostVersion() — because both are frozen
-// into the same publish. The CH read path therefore needs no freshness
-// check; a nil ch (cold start, hierarchy never warmed) is the only
-// fallback case.
+// Invariant: ch, when non-nil, was customized for graph's exact costs,
+// because both are frozen into the same publish. The CH read path
+// therefore needs no freshness check; a nil ch (cold start, hierarchy
+// never warmed) is the only fallback case.
 //
 //atis:immutable
 type Snapshot struct {
@@ -88,12 +87,6 @@ func (sn *Snapshot) CostGeneration() uint64 { return sn.gen }
 //
 //atis:hotpath
 func (sn *Snapshot) Generation() uint64 { return sn.seq }
-
-// CostVersion is the underlying graph's cost-mutation counter, the
-// version CH metrics and reverse views are keyed on.
-//
-//atis:hotpath
-func (sn *Snapshot) CostVersion() uint64 { return sn.graph.CostVersion() }
 
 // PublishedAt is when the snapshot was swapped in.
 func (sn *Snapshot) PublishedAt() time.Time { return sn.publishedAt }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/gridgen"
+	"repro/internal/search"
 )
 
 // TestSnapshotsCompleteUnderMutationStream is the mutate-while-querying
@@ -58,13 +59,16 @@ func TestSnapshotsCompleteUnderMutationStream(t *testing.T) {
 	}()
 
 	// Invariant watchers: load snapshots as fast as possible and check
-	// each one is internally consistent — the CH metric's cost version
-	// always agrees with the graph's, and the publish sequence never runs
+	// each one is internally consistent — every snapshot carries an index,
+	// one in watchSample answers a CH query exactly as Dijkstra does on
+	// the snapshot's own graph, and the publish sequence never runs
 	// behind the cost generation.
+	const watchSample = 100
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
-		go func() {
+		go func(seed int64) {
 			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
 			var lastSeq, lastGen uint64
 			for i := 0; i < 4000; i++ {
 				sn := s.Snapshot()
@@ -73,10 +77,23 @@ func TestSnapshotsCompleteUnderMutationStream(t *testing.T) {
 					t.Error("warmed service published a snapshot without an index")
 					return
 				}
-				if ix.CostVersion() != sn.CostVersion() {
-					t.Errorf("torn snapshot: ch metric version %d, graph cost version %d",
-						ix.CostVersion(), sn.CostVersion())
-					return
+				if i%watchSample == 0 {
+					from, to := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+					got, err := ix.Query(from, to)
+					if err != nil {
+						t.Errorf("ch %d→%d: %v", from, to, err)
+						return
+					}
+					want, err := search.Dijkstra(sn.Graph(), from, to)
+					if err != nil {
+						t.Errorf("dijkstra %d→%d: %v", from, to, err)
+						return
+					}
+					if got.Found != want.Found || math.Abs(got.Cost-want.Cost) > 1e-9*(1+want.Cost) {
+						t.Errorf("torn snapshot: ch %d→%d = (%v, %v), dijkstra on its graph = (%v, %v)",
+							from, to, got.Found, got.Cost, want.Found, want.Cost)
+						return
+					}
 				}
 				if sn.Generation() < lastSeq || sn.CostGeneration() < lastGen {
 					t.Errorf("snapshot identity went backwards: seq %d→%d, gen %d→%d",
@@ -85,7 +102,7 @@ func TestSnapshotsCompleteUnderMutationStream(t *testing.T) {
 				}
 				lastSeq, lastGen = sn.Generation(), sn.CostGeneration()
 			}
-		}()
+		}(int64(w + 101))
 	}
 
 	// Query readers: ComputeCtx with CH against whatever snapshot each

@@ -29,34 +29,25 @@ type kernel struct {
 }
 
 // chIndexes caches one contraction hierarchy per graph for the CH pseudo-
-// kernel below, rebuilt whenever the graph's cost version has moved — the
-// same staleness rule the route service applies, exercised here every time
-// a metamorphic test mutates costs between runs. sync.Map because the
-// differential harness also runs under -race with concurrent subtests.
+// kernel below. A graph's costs never change once it is shared, so the
+// graph pointer alone is the key: the mutation tests re-price a fresh
+// clone each round, which gets a hierarchy of its own. sync.Map because
+// the differential harness also runs under -race with concurrent subtests.
 var chIndexes sync.Map // *graph.Graph → *ch.Index
 
 // runCH adapts the contraction-hierarchy engine to the kernel signature,
-// (re)preprocessing on demand. Its settled/relaxed counters map onto the
-// trace's expansion counters like every other kernel's.
+// preprocessing each graph on first use. Its settled/relaxed counters map
+// onto the trace's expansion counters like every other kernel's.
 func runCH(g *graph.Graph, s, d graph.NodeID) (Result, error) {
-	want := g.CostVersion()
-	ix, ok := func() (*ch.Index, bool) {
-		v, loaded := chIndexes.Load(g)
-		if !loaded {
-			return nil, false
-		}
-		ix := v.(*ch.Index)
-		return ix, ix.CostVersion() == want
-	}()
+	v, ok := chIndexes.Load(g)
 	if !ok {
-		var err error
-		ix, err = ch.Build(g, ch.Options{})
+		ix, err := ch.Build(g, ch.Options{})
 		if err != nil {
 			return Result{}, err
 		}
-		chIndexes.Store(g, ix)
+		v, _ = chIndexes.LoadOrStore(g, ix)
 	}
-	res, err := ix.Query(s, d)
+	res, err := v.(*ch.Index).Query(s, d)
 	if err != nil {
 		return Result{}, err
 	}
@@ -193,18 +184,18 @@ func TestKernelsAgreeOnRandomGrids(t *testing.T) {
 	}
 }
 
-// TestCHAgreesAfterRandomMutations interleaves random SetArcCost mutations
-// with full-kernel agreement rounds. Every mutation bumps the graph's cost
-// version, so the CH pseudo-kernel's cached hierarchy goes stale and must
-// rebuild before its next answer — if the staleness check ever consulted
-// the wrong version, the stale hierarchy would answer with costs from a
-// retired round and the agreement assertion would catch it.
+// TestCHAgreesAfterRandomMutations interleaves random traffic batches with
+// full-kernel agreement rounds. Each batch re-prices a fresh clone, the
+// way the route service publishes traffic, so every round runs every
+// kernel — the CH pseudo-kernel's hierarchy and Bidirectional's reverse
+// view included — against a new graph; a hierarchy or reverse leaked from
+// a retired round would answer with its costs, and the agreement
+// assertion would catch it.
 func TestCHAgreesAfterRandomMutations(t *testing.T) {
-	base, err := gridgen.Generate(gridgen.Config{K: 9, Model: gridgen.Variance, Seed: 77})
+	g, err := gridgen.Generate(gridgen.Config{K: 9, Model: gridgen.Variance, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := base.Clone()
 	rng := rand.New(rand.NewSource(77))
 	n := g.NumNodes()
 	edges := g.Edges()
@@ -221,34 +212,40 @@ func TestCHAgreesAfterRandomMutations(t *testing.T) {
 		// Mutate: costs may rise or fall but stay ≥ 0.1 so the graph stays
 		// valid. The estimator above is Zero (always admissible), because
 		// lowered costs would break Euclidean's admissibility.
-		for i := 0; i < mutations; i++ {
+		changes := make([]graph.EdgeCostChange, mutations)
+		for i := range changes {
 			e := edges[rng.Intn(len(edges))]
 			cur, _ := g.ArcCost(e.Tail, e.Head)
 			factor := 0.5 + rng.Float64()*1.5
-			if _, err := g.SetArcCost(e.Tail, e.Head, math.Max(0.1, cur*factor)); err != nil {
-				t.Fatalf("mutating %d→%d: %v", e.Tail, e.Head, err)
-			}
+			changes[i] = graph.EdgeCostChange{Tail: e.Tail, Head: e.Head, Cost: math.Max(0.1, cur*factor)}
 		}
+		next := g.Clone()
+		if _, err := next.ApplyBatch(changes); err != nil {
+			t.Fatalf("round %d batch: %v", round, err)
+		}
+		g = next
 	}
 }
 
 // TestMetamorphicCostScaling checks the scaling relation: multiplying
 // every edge cost by λ must multiply the optimal cost by exactly λ,
-// for every kernel. The scaled graph is a Clone mutated through
-// SetArcCost, which also exercises the costVersion bump path that
-// invalidates ReverseView — Bidirectional on the clone would silently
-// reuse a stale reverse adjacency if that bump were ever lost.
+// for every kernel. The scaled graph is a Clone re-priced by ApplyBatch
+// after the base graph's reverse view is built, so Bidirectional on the
+// clone would return base costs if the clone ever shared that reverse.
 func TestMetamorphicCostScaling(t *testing.T) {
 	g, err := gridgen.Generate(gridgen.Config{K: 9, Model: gridgen.Variance, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, lambda := range []float64{0.25, 3} {
+		g.ReverseView()
 		scaled := g.Clone()
+		var changes []graph.EdgeCostChange
 		for _, e := range g.Edges() {
-			if _, err := scaled.SetArcCost(e.Tail, e.Head, e.Cost*lambda); err != nil {
-				t.Fatalf("scaling edge %d→%d: %v", e.Tail, e.Head, err)
-			}
+			changes = append(changes, graph.EdgeCostChange{Tail: e.Tail, Head: e.Head, Cost: e.Cost * lambda})
+		}
+		if _, err := scaled.ApplyBatch(changes); err != nil {
+			t.Fatalf("scaling by %v: %v", lambda, err)
 		}
 		// Euclidean is admissible on the base grid because every edge
 		// costs at least its unit geometric length; after scaling by

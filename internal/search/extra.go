@@ -84,10 +84,10 @@ func BidirectionalCtx(ctx context.Context, g *graph.Graph, s, d graph.NodeID) (r
 		//lint:ignore hotpath trivial same-node answer: one two-word slice on a path that does no search work
 		return Result{Found: true, Path: graph.Path{Nodes: []graph.NodeID{s}}, Cost: 0}, nil
 	}
-	// ReverseView caches the reverse graph keyed on the cost version, so a
-	// stream of queries under stable traffic shares one reverse instead of
-	// paying an O(m) rebuild per call (the last per-query O(m) allocation).
-	//lint:ignore hotpath the reverse view is cached per cost version; the O(m) rebuild runs once per traffic batch
+	// ReverseView builds the reverse graph once per graph, so every query
+	// against one published snapshot shares one reverse instead of paying
+	// an O(m) rebuild per call (the last per-query O(m) allocation).
+	//lint:ignore hotpath the reverse view is built once per graph; the O(m) build runs once per published snapshot
 	rg := g.ReverseView()
 	n := g.NumNodes()
 
